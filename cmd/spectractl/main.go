@@ -13,11 +13,15 @@
 //	spectractl -debug 127.0.0.1:6060 accuracy
 //	spectractl -debug 127.0.0.1:6060 timeseries -series local.cpu.availMHz
 //
+// The -timeout flag bounds each RPC command as a whole: dial, retries,
+// backoff, and every exchange share one deadline.
+//
 // Exit codes: 1 usage or local failure, 2 could not dial the server, 3 the
-// server was reached but the call failed.
+// server was reached but the call failed or ran out of time.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -43,7 +47,7 @@ const (
 func main() {
 	opts := options{out: os.Stdout}
 	flag.StringVar(&opts.server, "server", "127.0.0.1:7009", "spectrad RPC address (status, ping, work)")
-	flag.DurationVar(&opts.timeout, "timeout", 10*time.Second, "per-exchange RPC deadline")
+	flag.DurationVar(&opts.timeout, "timeout", 10*time.Second, "deadline for the whole RPC command, retries included")
 	flag.StringVar(&opts.debug, "debug", "", "debug endpoint (host:port or URL) for traces, top, accuracy, timeseries")
 	flag.StringVar(&opts.file, "file", "", "flight-recorder JSONL file for traces and top")
 	flag.Parse()
@@ -64,12 +68,20 @@ type options struct {
 }
 
 // exitCode classifies a failure: dial failures (the server could not be
-// reached at all) exit 2, call failures (reached, then the exchange or the
-// service failed) exit 3, everything else 1.
+// reached at all, even when the deadline ran out retrying the dial) exit 2,
+// call failures (reached, then the exchange or the service failed, or the
+// deadline ran out) exit 3, everything else 1.
 func exitCode(err error) int {
 	var terr *rpc.TransportError
 	if errors.As(err, &terr) {
 		if terr.Op == "dial" {
+			return exitDial
+		}
+		return exitCall
+	}
+	var derr *rpc.DeadlineError
+	if errors.As(err, &derr) {
+		if derr.Op == "dial" {
 			return exitDial
 		}
 		return exitCall
@@ -90,19 +102,19 @@ func run(opts options, args []string) error {
 	}
 	switch args[0] {
 	case "status", "ping", "work":
-		client, err := rpc.Dial(opts.server, nil)
-		if err != nil {
-			return err
-		}
+		// The client dials lazily, so the dial runs inside the command's
+		// deadline along with every retry and exchange.
+		ctx, cancel := context.WithTimeout(context.Background(), opts.timeout)
+		defer cancel()
+		client := rpc.NewClient(opts.server, nil)
 		defer client.Close()
-		client.SetTimeout(opts.timeout)
 		switch args[0] {
 		case "status":
-			return status(opts.out, client)
+			return status(ctx, opts.out, client)
 		case "ping":
-			return ping(opts.out, client)
+			return ping(ctx, opts.out, client)
 		default:
-			return work(opts.out, client, args[1:])
+			return work(ctx, opts.out, client, args[1:])
 		}
 	case "traces":
 		return traces(opts, args[1:])
@@ -117,8 +129,8 @@ func run(opts options, args []string) error {
 	}
 }
 
-func status(out io.Writer, client *rpc.Client) error {
-	st, err := client.Status()
+func status(ctx context.Context, out io.Writer, client *rpc.Client) error {
+	st, err := client.Status(ctx)
 	if err != nil {
 		return err
 	}
@@ -133,11 +145,11 @@ func status(out io.Writer, client *rpc.Client) error {
 	return nil
 }
 
-func ping(out io.Writer, client *rpc.Client) error {
+func ping(ctx context.Context, out io.Writer, client *rpc.Client) error {
 	const count = 5
 	var total time.Duration
 	for i := 0; i < count; i++ {
-		d, err := client.Ping()
+		d, err := client.Ping(ctx)
 		if err != nil {
 			return err
 		}
@@ -148,7 +160,7 @@ func ping(out io.Writer, client *rpc.Client) error {
 	return nil
 }
 
-func work(out io.Writer, client *rpc.Client, args []string) error {
+func work(ctx context.Context, out io.Writer, client *rpc.Client, args []string) error {
 	fs := flag.NewFlagSet("work", flag.ContinueOnError)
 	mc := fs.Uint64("mc", 100, "megacycles of work to request")
 	fp := fs.Bool("fp", false, "request floating-point work")
@@ -157,7 +169,7 @@ func work(out io.Writer, client *rpc.Client, args []string) error {
 	}
 	payload := wire.WorkRequest{Megacycles: *mc, FloatingPoint: *fp}.Encode()
 	start := time.Now()
-	_, usage, err := client.Call("spectra.work", "run", payload)
+	_, usage, _, err := client.Call(ctx, "spectra.work", "run", payload, nil)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"net"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -109,14 +112,65 @@ func TestCtlErrors(t *testing.T) {
 	}
 }
 
+// startSilentListener accepts connections and never answers, so every
+// exchange against it can only end by running out of time.
+func startSilentListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				io.Copy(io.Discard, conn)
+				conn.Close()
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return ln.Addr().String()
+}
+
 // TestCtlExitCodes pins the dial-versus-call exit-code split: an unreachable
-// server is exit 2, a reachable server rejecting the call is exit 3, and
-// usage errors are exit 1.
+// server is exit 2 (also when the deadline runs out while retrying the
+// dial), a reachable server rejecting the call or outliving the deadline is
+// exit 3, and usage errors are exit 1.
 func TestCtlExitCodes(t *testing.T) {
 	addr, _ := startServer(t)
 	_, err := ctl(t, options{server: "127.0.0.1:1"}, "status")
 	if err == nil || exitCode(err) != exitDial {
 		t.Fatalf("dial failure: got err=%v code=%d, want code %d", err, exitCode(err), exitDial)
+	}
+	_, err = ctl(t, options{server: "127.0.0.1:1", timeout: 60 * time.Millisecond}, "status")
+	if err == nil || exitCode(err) != exitDial {
+		t.Fatalf("dial failure under deadline: got err=%v code=%d, want code %d", err, exitCode(err), exitDial)
+	}
+	// A dial that outlives the deadline (a blackholed address) never
+	// reached the server either.
+	if code := exitCode(&rpc.DeadlineError{Op: "dial", Err: context.DeadlineExceeded}); code != exitDial {
+		t.Fatalf("dial deadline: code %d, want %d", code, exitDial)
+	}
+	// Silent server: the dial succeeds and the exchange never completes.
+	// -timeout bounds the whole command, retries included, so status ends
+	// after one timeout rather than one per retry attempt.
+	const timeout = 500 * time.Millisecond
+	start := time.Now()
+	_, err = ctl(t, options{server: startSilentListener(t), timeout: timeout}, "status")
+	if elapsed := time.Since(start); elapsed >= 2*timeout {
+		t.Fatalf("status against a silent server took %v, want < %v", elapsed, 2*timeout)
+	}
+	if err == nil || exitCode(err) != exitCall {
+		t.Fatalf("silent server: got err=%v code=%d, want code %d", err, exitCode(err), exitCall)
 	}
 	// Unknown service: the server is reached, the call fails remotely.
 	client, derr := rpc.Dial(addr, nil)
@@ -124,7 +178,7 @@ func TestCtlExitCodes(t *testing.T) {
 		t.Fatal(derr)
 	}
 	defer client.Close()
-	_, _, cerr := client.Call("no.such.service", "run", nil)
+	_, _, _, cerr := client.Call(context.Background(), "no.such.service", "run", nil, nil)
 	if cerr == nil || exitCode(cerr) != exitCall {
 		t.Fatalf("remote failure: got err=%v code=%d, want code %d", cerr, exitCode(cerr), exitCall)
 	}

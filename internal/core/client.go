@@ -107,6 +107,11 @@ type Client struct {
 	deadline   DeadlineOptions
 	health     *HealthTracker
 
+	// budgeted reports whether remote calls — operations and the control
+	// plane alike — run under latency budgets: the runtime runs on the wall
+	// clock and deadlines are not disabled. Decided once, in NewClient.
+	budgeted bool
+
 	// latring samples successful remote-call latencies for the adaptive
 	// hedge delay (p95 of the window).
 	latring latencyRing
@@ -174,6 +179,10 @@ func NewClient(cfg Config) (*Client, error) {
 	if c.wallClock == nil {
 		c.wallClock = sim.RealClock{}
 	}
+	// Only the network runtime runs on the wall clock; simulated remote
+	// work consumes virtual time, which a wall-clock budget cannot bound.
+	_, wall := cfg.Runtime.(*NetRuntime)
+	c.budgeted = wall && !cfg.Deadline.Disabled
 	if cfg.Cache.Enabled {
 		c.dcache = newDecisionCache(cfg.Cache, cfg.Obs)
 	}
@@ -244,7 +253,9 @@ func (c *Client) Health() *HealthTracker { return c.health }
 // rather than returned. Servers quarantined by the health tracker are
 // skipped until their quarantine elapses, at which point the poll doubles
 // as the half-open probe: success re-adopts the server, failure renews
-// the quarantine.
+// the quarantine. Each poll runs under the deadline ceiling (see
+// DeadlineOptions), so a server that accepts and never answers costs one
+// ceiling at most.
 func (c *Client) PollServers() {
 	var start time.Time
 	if c.hooks.pollSeconds != nil {
@@ -255,7 +266,9 @@ func (c *Client) PollServers() {
 			c.monitors.UpdatePreds(server, nil)
 			continue
 		}
-		status, err := c.runtime.PollServer(server)
+		ctx, cancel := c.budgetContext(c.deadline.ceiling())
+		status, err := c.runtime.PollServer(ctx, server)
+		cancel()
 		if err != nil {
 			c.hooks.pollErrors.Inc()
 			c.health.RecordFailure(server, c.runtime.Now())
@@ -273,13 +286,17 @@ func (c *Client) PollServers() {
 
 // Probe generates fresh traffic toward every candidate server so the
 // passive network monitor has current bandwidth and latency estimates.
-// Like PollServers it respects and feeds the health tracker.
+// Like PollServers it respects and feeds the health tracker, and each
+// server's probe runs under the deadline ceiling.
 func (c *Client) Probe() {
 	for _, server := range c.Servers() {
 		if !c.health.Usable(server, c.runtime.Now()) {
 			continue
 		}
-		if err := c.runtime.Probe(server); err != nil {
+		ctx, cancel := c.budgetContext(c.deadline.ceiling())
+		err := c.runtime.Probe(ctx, server)
+		cancel()
+		if err != nil {
 			c.health.RecordFailure(server, c.runtime.Now())
 			continue
 		}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"io"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,6 +188,85 @@ func TestDeadlineExpiryFallsBackLocally(t *testing.T) {
 	}
 	if n := observer.Registry.Counter(obs.MDeadlineExceeded).Value(); n < 1 {
 		t.Fatalf("%s = %d, want >= 1", obs.MDeadlineExceeded, n)
+	}
+}
+
+// startSilentListener accepts connections on a loopback port and never
+// answers: every request is read and dropped, so each exchange can only
+// end by its own timeout.
+func startSilentListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+		wg    sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+// TestPollServersBoundedByBudget pins the control-plane budget: a server
+// that accepts connections and never answers must cost one poll and one
+// probe the deadline ceiling each, not the retry ladder's worth of flat
+// 30s exchange timeouts, and the failures must still take the server out
+// of the decision space.
+func TestPollServersBoundedByBudget(t *testing.T) {
+	addr := startSilentListener(t)
+	setup, err := NewLiveSetup(LiveOptions{
+		Servers:  map[string]string{"silent": addr},
+		Health:   HealthOptions{FailureThreshold: 2},
+		Deadline: DeadlineOptions{Ceiling: 300 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { setup.Runtime.Close() })
+
+	for _, step := range []struct {
+		name string
+		run  func()
+	}{
+		{"PollServers", setup.Client.PollServers},
+		{"Probe", setup.Client.Probe},
+	} {
+		start := time.Now()
+		step.run()
+		if elapsed := time.Since(start); elapsed >= 2*time.Second {
+			t.Fatalf("%s against a silent server took %v, want < 2s (300ms ceiling)", step.name, elapsed)
+		}
+	}
+	if setup.Client.Health().Usable("silent", time.Now()) {
+		t.Fatalf("silent server still usable after a failed poll and probe: %v", setup.Client.Health().State("silent"))
 	}
 }
 

@@ -162,7 +162,7 @@ func (x *OpContext) failRemote(ctx context.Context, optype string, payload []byt
 			break
 		}
 		tried[next] = true
-		out, rep, rerr := x.remoteCallCtx(ctx, next, optype, payload)
+		out, rep, rerr := x.remoteCall(ctx, next, optype, payload)
 		x.account(rep)
 		if rerr == nil {
 			c.health.RecordSuccess(next)

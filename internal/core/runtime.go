@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"spectra/internal/obs"
@@ -25,7 +26,11 @@ type callReport struct {
 
 // Runtime executes operation components and server housekeeping. The
 // simulation runtime models the paper's testbed; the network runtime drives
-// real Spectra servers over TCP.
+// real Spectra servers over TCP. Every remote verb takes a context that
+// carries the caller's latency budget: the network runtime bounds and
+// cancels its exchanges with it, while the simulation runtime ignores it,
+// because simulated work consumes virtual time that a wall-clock budget
+// cannot bound.
 type Runtime interface {
 	// Now returns the runtime's notion of current time (virtual in the
 	// simulation), used for operation elapsed-time measurement.
@@ -38,18 +43,24 @@ type Runtime interface {
 	// tc, when non-nil, propagates the operation's trace context to the
 	// server; the runtime returns the server's spans in the callReport,
 	// rebased onto the client timeline.
-	RemoteCall(server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error)
+	RemoteCall(ctx context.Context, server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error)
+
+	// ParallelRemote executes the calls concurrently and returns per-branch
+	// results (outputs or errors, with per-branch usage reports whose phases
+	// are zeroed) and the combined phase usage of the overlapped execution.
+	// One failed branch does not abort the others.
+	ParallelRemote(ctx context.Context, service string, calls []ParallelCall) ([]parallelResult, phaseUsage)
 
 	// Reintegrate pushes the client's buffered modifications for a volume
 	// to the file servers, returning the bytes sent and the time it took.
 	Reintegrate(volume string) (int64, time.Duration, error)
 
 	// PollServer fetches a server's resource snapshot.
-	PollServer(server string) (*wire.ServerStatus, error)
+	PollServer(ctx context.Context, server string) (*wire.ServerStatus, error)
 
 	// Probe generates a small and a bulk exchange with the server so the
 	// passive network monitor has fresh observations.
-	Probe(server string) error
+	Probe(ctx context.Context, server string) error
 }
 
 // ConsistencySource exposes the Coda state Spectra consults to enforce

@@ -134,24 +134,19 @@ func (r *NetRuntime) LocalCall(service, optype string, payload []byte) ([]byte, 
 	return out, rep, nil
 }
 
-// RemoteCall implements Runtime over TCP. Traced calls (tc != nil) carry
-// the trace context to the server; the server's span records return on the
-// response and are rebased onto the client timeline (see rpc.RebaseSpans).
-func (r *NetRuntime) RemoteCall(server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
-	return r.RemoteCallContext(context.Background(), server, service, optype, payload, tc)
-}
-
-// RemoteCallContext implements DeadlineRuntime: RemoteCall bounded by the
-// context's remaining budget. The budget caps the pool checkout wait, the
-// dial, and the exchange, rides the request so the server can shed expired
-// work, and cancellation interrupts the exchange mid-flight.
-func (r *NetRuntime) RemoteCallContext(ctx context.Context, server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
+// RemoteCall implements Runtime over TCP. The context's remaining budget
+// caps the pool checkout wait, the dial, and the exchange, rides the
+// request so the server can shed expired work, and cancellation interrupts
+// the exchange mid-flight. Traced calls (tc != nil) carry the trace context
+// to the server; the server's span records return on the response and are
+// rebased onto the client timeline (see rpc.RebaseSpans).
+func (r *NetRuntime) RemoteCall(ctx context.Context, server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
 	pool, err := r.pool(server)
 	if err != nil {
 		return nil, callReport{}, err
 	}
 	start := time.Now()
-	out, usage, spans, err := pool.CallContext(ctx, service, optype, payload, tc)
+	out, usage, spans, err := pool.Call(ctx, service, optype, payload, tc)
 	elapsed := time.Since(start)
 	if err != nil {
 		// A transport fault means the server cannot be contacted; an
@@ -218,13 +213,13 @@ func (r *NetRuntime) Reintegrate(volume string) (int64, time.Duration, error) {
 	return res.BytesSent, time.Since(start), nil
 }
 
-// PollServer implements Runtime.
-func (r *NetRuntime) PollServer(server string) (*wire.ServerStatus, error) {
+// PollServer implements Runtime: a status exchange bounded by ctx.
+func (r *NetRuntime) PollServer(ctx context.Context, server string) (*wire.ServerStatus, error) {
 	pool, err := r.pool(server)
 	if err != nil {
 		return nil, err
 	}
-	status, err := pool.Status()
+	status, err := pool.Status(ctx)
 	if err != nil {
 		if !isRemoteAppError(err) && !spectrarpc.IsOverloaded(err) {
 			r.setReachable(server, false)
@@ -236,18 +231,18 @@ func (r *NetRuntime) PollServer(server string) (*wire.ServerStatus, error) {
 }
 
 // Probe implements Runtime: a ping plus a bulk echo give the passive
-// estimator a latency and a bandwidth observation.
-func (r *NetRuntime) Probe(server string) error {
+// estimator a latency and a bandwidth observation, both bounded by ctx.
+func (r *NetRuntime) Probe(ctx context.Context, server string) error {
 	pool, err := r.pool(server)
 	if err != nil {
 		return err
 	}
-	if _, err := pool.Ping(); err != nil {
+	if _, err := pool.Ping(ctx); err != nil {
 		r.setReachable(server, false)
 		return fmt.Errorf("core: probe %q: %w", server, err)
 	}
 	bulk := make([]byte, probeEchoBytes)
-	if _, _, err := pool.Call(EchoService, "echo", bulk); err != nil {
+	if _, _, _, err := pool.Call(ctx, EchoService, "echo", bulk, nil); err != nil {
 		if !spectrarpc.IsOverloaded(err) {
 			r.setReachable(server, false)
 		}

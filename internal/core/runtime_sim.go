@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -78,8 +79,10 @@ func (r *SimRuntime) LocalCall(service, optype string, payload []byte) ([]byte, 
 // runs on the server machine while the client idles, and the response
 // returns. Both transfers are recorded as passive traffic observations.
 // Traced calls (tc != nil) additionally return the server-side spans; the
-// simulation shares one virtual clock, so they are exact, not rebased.
-func (r *SimRuntime) RemoteCall(server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
+// simulation shares one virtual clock, so they are exact, not rebased. The
+// context is ignored: the call consumes virtual time, which a wall-clock
+// budget cannot bound.
+func (r *SimRuntime) RemoteCall(_ context.Context, server, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, callReport, error) {
 	node, link, ok := r.env.Server(server)
 	if !ok {
 		return nil, callReport{}, fmt.Errorf("core: unknown server %q", server)
@@ -179,7 +182,7 @@ func (r *SimRuntime) Reintegrate(volume string) (int64, time.Duration, error) {
 
 // PollServer implements Runtime: a small status RPC, observed by the
 // network monitor like any other exchange.
-func (r *SimRuntime) PollServer(server string) (*wire.ServerStatus, error) {
+func (r *SimRuntime) PollServer(_ context.Context, server string) (*wire.ServerStatus, error) {
 	node, link, ok := r.env.Server(server)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown server %q", server)
@@ -213,7 +216,7 @@ func (r *SimRuntime) PollServer(server string) (*wire.ServerStatus, error) {
 
 // Probe implements Runtime: one small and one bulk exchange seed the
 // bandwidth and latency estimates for the server's path.
-func (r *SimRuntime) Probe(server string) error {
+func (r *SimRuntime) Probe(_ context.Context, server string) error {
 	_, link, ok := r.env.Server(server)
 	if !ok {
 		return fmt.Errorf("core: unknown server %q", server)

@@ -214,31 +214,23 @@ func (c *Client) Close() error {
 	return m.fail(ErrClientClosed)
 }
 
-// Call invokes a service operation and returns the response payload and
-// the server's usage report. Transport failures are returned as
-// *TransportError without retrying: service operations are not idempotent,
-// so recovery (retry or failover) is the caller's decision.
-func (c *Client) Call(service, optype string, payload []byte) ([]byte, *wire.UsageReport, error) {
-	out, usage, _, err := c.CallTraced(service, optype, payload, nil)
-	return out, usage, err
-}
-
-// CallTraced is Call with trace propagation: tc (which may be nil) rides
-// the request so the server executes under the client's trace, and the
-// server's span records for the request ride back on the response. Span
-// offsets are relative to the server's receipt of the request, on the
-// server's clock; RebaseSpans converts them to client-timeline spans.
-func (c *Client) CallTraced(service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
-	return c.CallContext(context.Background(), service, optype, payload, tc)
-}
-
-// CallContext is CallTraced under an end-to-end deadline: the context's
-// remaining budget bounds the dial and the exchange and rides the request
-// as a wire.DeadlineContext so the server can shed work the client has
-// abandoned. Cancellation or budget expiry abandons only this stream — a
-// cancel frame tells the server to stop the work, the shared connection
-// stays healthy, and the failure is returned as *DeadlineError.
-func (c *Client) CallContext(ctx context.Context, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
+// Call invokes a service operation under an end-to-end deadline and
+// returns the response payload, the server's usage report, and the
+// server's span records. The context's remaining budget bounds the dial
+// and the exchange and rides the request as a wire.DeadlineContext so the
+// server can shed work the client has abandoned. Cancellation or budget
+// expiry abandons only this stream — a cancel frame tells the server to
+// stop the work, the shared connection stays healthy, and the failure is
+// returned as *DeadlineError. A context without a deadline leaves only
+// the flat per-exchange timeout in force.
+//
+// tc (which may be nil) rides the request so the server executes under
+// the client's trace; span offsets are relative to the server's receipt
+// of the request, on the server's clock, and RebaseSpans converts them to
+// client-timeline spans. Transport failures are returned as
+// *TransportError without retrying: service operations are not
+// idempotent, so recovery (retry or failover) is the caller's decision.
+func (c *Client) Call(ctx context.Context, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
 	reply, err := c.exchangeCtx(ctx, &wire.Message{
 		Type:    wire.MsgRequest,
 		Service: service,
@@ -270,13 +262,9 @@ func (c *Client) CallContext(ctx context.Context, service, optype string, payloa
 
 // Status fetches the server's resource snapshot, retrying transient
 // transport faults per the retry policy (the exchange is idempotent).
-func (c *Client) Status() (*wire.ServerStatus, error) {
-	return c.StatusContext(context.Background())
-}
-
-// StatusContext is Status under a deadline: retries stop once the next
-// backoff would overrun the remaining budget.
-func (c *Client) StatusContext(ctx context.Context) (*wire.ServerStatus, error) {
+// Retries stop once the next backoff would overrun the context's
+// remaining budget.
+func (c *Client) Status(ctx context.Context) (*wire.ServerStatus, error) {
 	reply, err := c.exchangeRetry(ctx, func() *wire.Message {
 		return &wire.Message{Type: wire.MsgStatus}
 	})
@@ -289,14 +277,9 @@ func (c *Client) StatusContext(ctx context.Context) (*wire.ServerStatus, error) 
 	return reply.Status, nil
 }
 
-// Ping performs a minimal round trip, seeding the latency estimate. Like
-// Status it is idempotent and retries transient faults.
-func (c *Client) Ping() (time.Duration, error) {
-	return c.PingContext(context.Background())
-}
-
-// PingContext is Ping under a deadline.
-func (c *Client) PingContext(ctx context.Context) (time.Duration, error) {
+// Ping performs a minimal round trip under ctx, seeding the latency
+// estimate. Like Status it is idempotent and retries transient faults.
+func (c *Client) Ping(ctx context.Context) (time.Duration, error) {
 	start := time.Now()
 	if _, err := c.exchangeRetry(ctx, func() *wire.Message {
 		return &wire.Message{Type: wire.MsgPing}
@@ -355,12 +338,6 @@ func (c *Client) exchangeRetry(ctx context.Context, msg func() *wire.Message) (*
 		}
 	}
 	return nil, lastErr
-}
-
-// exchange sends one message and reads the matching reply without a
-// deadline; see exchangeCtx.
-func (c *Client) exchange(msg *wire.Message) (*wire.Message, error) {
-	return c.exchangeCtx(context.Background(), msg)
 }
 
 // exchangeCtx runs one stream over the multiplexed connection: assign an

@@ -19,13 +19,13 @@ func TestPoolCheckoutDeadlineExhausted(t *testing.T) {
 	p := NewPool(addr, nil, PoolOptions{Size: 1, StreamsPerConn: 1})
 	defer p.Close()
 
-	go p.Call("gate", "x", nil)
+	go p.Call(context.Background(), "gate", "x", nil, nil)
 	<-entered // the single stream slot is now busy
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, _, err := p.CallContext(ctx, "echo", "x", []byte("late"), nil)
+	_, _, _, err := p.Call(ctx, "echo", "x", []byte("late"), nil)
 	elapsed := time.Since(start)
 
 	if !IsDeadline(err) {
@@ -49,7 +49,7 @@ func TestPoolCheckoutDeadlineExhausted(t *testing.T) {
 
 	// The pool must still function once the stream slot frees up.
 	release <- struct{}{}
-	if _, _, err := p.Call("echo", "x", []byte("after")); err != nil {
+	if _, _, _, err := p.Call(context.Background(), "echo", "x", []byte("after"), nil); err != nil {
 		t.Fatalf("pool broken after abandoned wait: %v", err)
 	}
 }
@@ -61,13 +61,13 @@ func TestPoolCheckoutCancelPrompt(t *testing.T) {
 	p := NewPool(addr, nil, PoolOptions{Size: 1, StreamsPerConn: 1})
 	defer p.Close()
 
-	go p.Call("gate", "x", nil)
+	go p.Call(context.Background(), "gate", "x", nil, nil)
 	<-entered
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, _, err := p.CallContext(ctx, "echo", "x", nil, nil)
+		_, _, _, err := p.Call(ctx, "echo", "x", nil, nil)
 		errc <- err
 	}()
 	// Let the waiter park, then cancel.
@@ -253,13 +253,13 @@ func TestClientServerShedClassified(t *testing.T) {
 	// scheduling gap between the client stamping it and the server's
 	// admission check). Retry until the race lands; it typically does on
 	// the first try.
-	if _, _, err := p.Call("echo", "x", []byte("warm")); err != nil {
+	if _, _, _, err := p.Call(context.Background(), "echo", "x", []byte("warm"), nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_, _, _, err := p.CallContext(ctx, "echo", "x", []byte("tiny"), nil)
+		_, _, _, err := p.Call(ctx, "echo", "x", []byte("tiny"), nil)
 		cancel()
 		if err == nil {
 			continue // the exchange beat the budget; try again
@@ -269,7 +269,7 @@ func TestClientServerShedClassified(t *testing.T) {
 		}
 		// Whether the client or the server gave up first, the connection
 		// must remain usable (deadline failures never poison the pool).
-		if _, _, err := p.Call("echo", "x", []byte("after")); err != nil {
+		if _, _, _, err := p.Call(context.Background(), "echo", "x", []byte("after"), nil); err != nil {
 			t.Fatalf("pool poisoned by deadline failure: %v", err)
 		}
 		if st := p.Stats(); st.Evicted != 0 {
@@ -300,7 +300,7 @@ func TestClientCancelMidExchangeKeepsConnection(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.CallContext(ctx, "gate", "x", nil, nil)
+		_, _, _, err := c.Call(ctx, "gate", "x", nil, nil)
 		errc <- err
 	}()
 	<-entered // the exchange is in flight, blocked on the server
@@ -316,7 +316,7 @@ func TestClientCancelMidExchangeKeepsConnection(t *testing.T) {
 	}
 
 	release <- struct{}{} // let the server-side handler finish
-	out, _, err := c.Call("echo", "x", []byte("resync"))
+	out, _, _, err := c.Call(context.Background(), "echo", "x", []byte("resync"), nil)
 	if err != nil {
 		t.Fatalf("client broken after cancellation: %v", err)
 	}
@@ -349,7 +349,7 @@ func TestRetryBackoffCappedByDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.StatusContext(ctx)
+	_, err = c.Status(ctx)
 	elapsed := time.Since(start)
 
 	var derr *DeadlineError
@@ -389,7 +389,7 @@ func TestRetryStopsWhenBudgetDrained(t *testing.T) {
 
 	attempts := 0
 	c.sleep = func(time.Duration) { attempts++ }
-	if _, err := c.Status(); err == nil {
+	if _, err := c.Status(context.Background()); err == nil {
 		t.Fatal("status against a dead address must fail")
 	}
 	if attempts != 0 {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"encoding/binary"
 	"net"
 	"testing"
@@ -28,7 +29,7 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Call("echo", "op", []byte("still alive")); err != nil {
+	if _, _, _, err := c.Call(context.Background(), "echo", "op", []byte("still alive"), nil); err != nil {
 		t.Fatalf("server died after garbage: %v", err)
 	}
 }
@@ -62,7 +63,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Call("echo", "op", nil); err != nil {
+	if _, _, _, err := c.Call(context.Background(), "echo", "op", nil, nil); err != nil {
 		t.Fatalf("server unusable after oversized frame: %v", err)
 	}
 }
@@ -92,7 +93,7 @@ func TestClientTimeoutOnSilentServer(t *testing.T) {
 	defer c.Close()
 	c.SetTimeout(200 * time.Millisecond)
 	start := time.Now()
-	if _, _, err := c.Call("echo", "op", nil); err == nil {
+	if _, _, _, err := c.Call(context.Background(), "echo", "op", nil, nil); err == nil {
 		t.Fatal("call to silent server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

@@ -94,7 +94,7 @@ func TestMuxClientMatchesInterleavedReplies(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, _, err := c.Call("hold", "x", []byte(fmt.Sprintf("held-%d", i)))
+			out, _, _, err := c.Call(context.Background(), "hold", "x", []byte(fmt.Sprintf("held-%d", i)), nil)
 			if err == nil && string(out) != fmt.Sprintf("held-%d", i) {
 				err = fmt.Errorf("held call %d got %q", i, out)
 			}
@@ -107,7 +107,7 @@ func TestMuxClientMatchesInterleavedReplies(t *testing.T) {
 	// Fast calls must cut through while the slow replies are outstanding.
 	for i := 0; i < 5; i++ {
 		want := fmt.Sprintf("quick-%d", i)
-		out, _, err := c.Call("echo", "x", []byte(want))
+		out, _, _, err := c.Call(context.Background(), "echo", "x", []byte(want), nil)
 		if err != nil {
 			t.Fatalf("interleaved echo %d: %v", i, err)
 		}
@@ -156,7 +156,7 @@ func TestMuxReaderDeathFailsAllStreams(t *testing.T) {
 	errs := make(chan error, streams)
 	for i := 0; i < streams; i++ {
 		go func() {
-			_, _, err := c.Call("hold", "x", nil)
+			_, _, _, err := c.Call(context.Background(), "hold", "x", nil, nil)
 			errs <- err
 		}()
 	}
@@ -382,10 +382,10 @@ func TestMuxSingleConnStress(t *testing.T) {
 					// A tiny budget that sometimes expires mid-flight,
 					// driving the cancel-frame path under load.
 					ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
-					out, _, _, err = c.CallContext(ctx, "echo", "x", payload, nil)
+					out, _, _, err = c.Call(ctx, "echo", "x", payload, nil)
 					cancel()
 				} else {
-					out, _, err = c.Call("echo", "x", payload)
+					out, _, _, err = c.Call(context.Background(), "echo", "x", payload, nil)
 				}
 				switch {
 				case err == nil:

@@ -376,56 +376,41 @@ func (p *Pool) newClientLocked() *Client {
 	return c
 }
 
-// Call invokes a service operation on a pooled connection. Semantics match
+// Call invokes a service operation on a pooled connection. The context's
+// remaining budget bounds the stream-slot wait, the dial, and the
+// exchange, and is propagated to the server. Semantics otherwise match
 // (*Client).Call: transport failures return *TransportError without
 // retrying, remote failures return *RemoteError, admission-control sheds
 // return *OverloadError.
-func (p *Pool) Call(service, optype string, payload []byte) ([]byte, *wire.UsageReport, error) {
-	out, usage, _, err := p.CallTraced(service, optype, payload, nil)
-	return out, usage, err
-}
-
-// CallTraced is Call with trace propagation, matching (*Client).CallTraced.
-func (p *Pool) CallTraced(service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
-	return p.CallContext(context.Background(), service, optype, payload, tc)
-}
-
-// CallContext is CallTraced under an end-to-end deadline: the remaining
-// budget bounds the stream-slot wait, the dial, and the exchange, and is
-// propagated to the server, matching (*Client).CallContext.
-func (p *Pool) CallContext(ctx context.Context, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
+func (p *Pool) Call(ctx context.Context, service, optype string, payload []byte, tc *wire.TraceContext) ([]byte, *wire.UsageReport, []wire.SpanRecord, error) {
 	c, err := p.acquire(ctx)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	out, usage, spans, err := c.CallContext(ctx, service, optype, payload, tc)
+	out, usage, spans, err := c.Call(ctx, service, optype, payload, tc)
 	p.release()
 	return out, usage, spans, err
 }
 
-// Status fetches the server's resource snapshot on a pooled connection.
-func (p *Pool) Status() (*wire.ServerStatus, error) {
-	return p.StatusContext(context.Background())
-}
-
-// StatusContext is Status under a deadline.
-func (p *Pool) StatusContext(ctx context.Context) (*wire.ServerStatus, error) {
+// Status fetches the server's resource snapshot on a pooled connection,
+// under the same budget rules as (*Client).Status.
+func (p *Pool) Status(ctx context.Context) (*wire.ServerStatus, error) {
 	c, err := p.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
-	st, err := c.StatusContext(ctx)
+	st, err := c.Status(ctx)
 	p.release()
 	return st, err
 }
 
 // Ping performs a minimal round trip on a pooled connection.
-func (p *Pool) Ping() (time.Duration, error) {
-	c, err := p.acquire(context.Background())
+func (p *Pool) Ping(ctx context.Context) (time.Duration, error) {
+	c, err := p.acquire(ctx)
 	if err != nil {
 		return 0, err
 	}
-	d, err := c.Ping()
+	d, err := c.Ping(ctx)
 	p.release()
 	return d, err
 }

@@ -1,6 +1,7 @@
 package spectra_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -228,7 +229,7 @@ func BenchmarkLiveRPCRoundTrip(b *testing.B) {
 	payload := make([]byte, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := client.Call("echo", "op", payload); err != nil {
+		if _, _, _, err := client.Call(context.Background(), "echo", "op", payload, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
