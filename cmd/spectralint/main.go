@@ -1,13 +1,14 @@
 // Command spectralint runs Spectra's static-analysis suite — the
 // invariants the compiler cannot see: virtual-clock discipline in
 // deterministic packages, nil-receiver guards on observability handles,
-// no blocking under mutexes, a coherent metric namespace, classified
-// errors at the RPC boundary, and the interprocedural invariants of the
-// deadline work: context propagation on request paths (ctxflow),
-// goroutine termination (goroleak), a cycle-free lock order (lockorder),
-// and registry-resolved metric/span names (spanmetric). The driver keeps
-// one fact store for the whole run and visits packages in dependency
-// order, so the interprocedural analyzers see across package boundaries.
+// no blocking under mutexes, classified errors at the RPC boundary, and
+// the interprocedural invariants of the deadline work: context
+// propagation on request paths (ctxflow), goroutine termination
+// (goroleak), a cycle-free lock order (lockorder), and a coherent metric
+// namespace of well-formed, registry-resolved metric and span names
+// (spanmetric). The driver keeps one fact store for the whole run and
+// visits packages in dependency order, so the interprocedural analyzers
+// see across package boundaries.
 //
 // Usage:
 //
@@ -17,8 +18,10 @@
 // With no packages it lints ./.... It prints one line per finding
 // (file:line:col: analyzer: message), honors //lint:allow suppressions,
 // and exits 1 if any finding survives, 2 on a load failure — so CI can
-// gate on it. -json additionally writes a machine-readable report for
-// artifact upload.
+// gate on it. A //lint:allow directive naming an analyzer that is not in
+// the suite is itself a finding, reported under the name spectralint.
+// -json additionally writes a machine-readable report for artifact
+// upload.
 //
 // -suppressions inventories the suppression debt instead of linting: one
 // line per //lint:allow directive (file:line: analyzers: reason). -budget
@@ -123,6 +126,26 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 
 	rep := report{Packages: len(prog.Roots), Directives: len(directives)}
 	suite := lint.Suite()
+	// A directive naming no analyzer in the suite suppresses nothing but
+	// still counts against the budget: report it as a finding.
+	known := make(map[string]bool, len(suite))
+	for _, a := range suite {
+		known[a.Name] = true
+	}
+	for _, d := range directives {
+		for _, name := range d.Analyzers {
+			if !known[name] {
+				rep.Findings = append(rep.Findings, finding{
+					File:     relPath(dir, d.File),
+					Line:     d.Line,
+					Col:      d.Col,
+					Analyzer: "spectralint",
+					Message: fmt.Sprintf("//lint:allow names %q, which is not an analyzer in the suite; "+
+						"the directive suppresses nothing, so delete it or name a current analyzer", name),
+				})
+			}
+		}
+	}
 	// One fact store for the run: dependency order guarantees a package's
 	// facts are exported before any importer is analyzed.
 	facts := analysis.NewFactStore()

@@ -55,6 +55,16 @@ func (h *Handle) Inc() { h.n++ }
 func main() {}
 `
 
+// stale carries a directive for an analyzer the suite does not have: it
+// suppresses nothing, so it must not pass silently against the budget.
+const stale = `package main
+
+//lint:allow metricname no such analyzer in the suite
+const name = "x"
+
+func main() {}
+`
+
 const clean = `package main
 
 // Handle is nil-callable.
@@ -106,6 +116,22 @@ func TestCleanRun(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := Main(dir, []string{"./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, &stdout, &stderr)
+	}
+}
+
+func TestStaleDirectiveFailsTheRun(t *testing.T) {
+	dir := writeModule(t, stale)
+	var stdout, stderr bytes.Buffer
+	code := Main(dir, []string{"./..."}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, &stdout, &stderr)
+	}
+	out := stdout.String()
+	if !strings.Contains(out, `main.go:3:1: spectralint: //lint:allow names "metricname"`) {
+		t.Errorf("stale directive not reported at its comment:\n%s", out)
+	}
+	if !strings.Contains(out, "1 finding(s)") {
+		t.Errorf("summary line missing or wrong:\n%s", out)
 	}
 }
 

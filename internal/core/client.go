@@ -57,8 +57,11 @@ type Config struct {
 	// one nil test per event.
 	Obs *obs.Observer
 	// SnapshotTTL caches the decision snapshot for this long, so N
-	// concurrent BeginFidelityOps share one monitors.Snapshot instead of
-	// issuing N remote-status fan-outs. 0 disables caching (every Begin
+	// concurrent BeginFidelityOps share one snapshot fill instead of N.
+	// A fill makes no remote call: it copies local monitor state (last
+	// polled server status included) into a fresh Snapshot, folds in the
+	// health verdicts and records one time-series batch, at about a dozen
+	// allocations per fill. 0 disables caching (every Begin
 	// snapshots afresh — the right choice for deterministic simulation,
 	// where virtual time may not advance between Begins). Live setups
 	// default this to a few tens of milliseconds (see LiveOptions).

@@ -48,8 +48,8 @@ type LiveOptions struct {
 	// serial-per-connection exchange (useful as a benchmark baseline).
 	StreamsPerConn int
 	// SnapshotTTL caches the decision snapshot so concurrent Begins share
-	// one monitor fan-out. 0 selects DefaultSnapshotTTL; negative disables
-	// caching.
+	// one snapshot fill (a local copy of monitor state, no remote call).
+	// 0 selects DefaultSnapshotTTL; negative disables caching.
 	SnapshotTTL time.Duration
 	// Cache tunes the placement-decision cache; the zero value disables it
 	// (see CacheOptions).

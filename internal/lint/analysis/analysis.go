@@ -7,9 +7,9 @@
 // The model is deliberately a subset: no requires-graph, no SSA. Facts —
 // data an analyzer exports about a package or object for later passes over
 // dependent packages to import — are supported through FactStore, riding
-// the driver's deps-before-dependents ordering; see facts.go. Analyzers
-// predating facts (metricname's registry of known names) keep cross-package
-// state inside the analyzer closure instead, which works identically.
+// the driver's deps-before-dependents ordering; see facts.go. An analyzer
+// may also keep cross-package state inside its closure (lockorder's edge
+// graph), which rides the same ordering.
 package analysis
 
 import (

@@ -76,9 +76,10 @@ func (s *Suppressions) Allows(analyzer string, pos token.Position) bool {
 // suppression debt the driver inventories (-suppressions) and ratchets
 // against a checked-in budget.
 type Directive struct {
-	// File and Line locate the directive comment.
+	// File, Line and Col locate the directive comment.
 	File string
 	Line int
+	Col  int
 	// Analyzers are the names the directive silences.
 	Analyzers []string
 	// Reason is the justification prose after the analyzer list.
@@ -110,6 +111,7 @@ func ListDirectives(fset *token.FileSet, files []*ast.File) []Directive {
 				out = append(out, Directive{
 					File:      pos.Filename,
 					Line:      pos.Line,
+					Col:       pos.Column,
 					Analyzers: names,
 					Reason:    strings.Join(fields[1:], " "),
 				})

@@ -124,27 +124,34 @@ func (g *Graph) Nodes() []*Node {
 	return g.sorted
 }
 
-// Closure propagates a boolean property bottom-up through call edges to a
-// fixpoint: a declared function has the property if seed reports it
-// directly (true for sinks and for external callees whose imported facts
-// carry the property) or if any of its resolved callees — in-package,
-// recursive cycles included — has it. The result maps every declared
-// function to its closure value.
-func (g *Graph) Closure(seed func(*types.Func) bool) map[*types.Func]bool {
-	has := make(map[*types.Func]bool, len(g.sorted))
+// Closure propagates a property bottom-up through call edges to a
+// fixpoint, keeping one witness per function. A declared function has the
+// property if seed reports it directly (true for sinks and for external
+// callees whose imported facts carry the property), or else if any of its
+// resolved callees — in-package, recursive cycles included — has it, in
+// which case it takes the witness of the first such callee in body order.
+// The result maps each declared function that has the property to its
+// witness.
+func (g *Graph) Closure(seed func(*types.Func) (string, bool)) map[*types.Func]string {
+	has := make(map[*types.Func]string)
 	for _, n := range g.sorted {
-		has[n.Func] = seed(n.Func)
+		if w, ok := seed(n.Func); ok {
+			has[n.Func] = w
+		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.sorted {
-			if has[n.Func] {
+			if _, done := has[n.Func]; done {
 				continue
 			}
 			for _, e := range n.Calls {
-				v, declared := has[e.Callee]
-				if (declared && v) || (!declared && seed(e.Callee)) {
-					has[n.Func] = true
+				w, ok := has[e.Callee]
+				if g.nodes[e.Callee] == nil {
+					w, ok = seed(e.Callee)
+				}
+				if ok {
+					has[n.Func] = w
 					changed = true
 					break
 				}

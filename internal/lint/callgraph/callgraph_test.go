@@ -80,7 +80,7 @@ func TestMethodsAreNodes(t *testing.T) {
 func TestClosure(t *testing.T) {
 	_, g := buildGolden(t)
 	sink := nodeByName(t, g, "Sink").Func
-	reaches := g.Closure(func(f *types.Func) bool { return f == sink })
+	reaches := g.Closure(func(f *types.Func) (string, bool) { return f.Name(), f == sink })
 
 	want := map[string]bool{
 		"Sink":      true, // the seed itself
@@ -100,8 +100,12 @@ func TestClosure(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if reaches[n.Func] != w {
-			t.Errorf("Closure(%s) = %v, want %v", n.Func.Name(), reaches[n.Func], w)
+		witness, got := reaches[n.Func]
+		if got != w {
+			t.Errorf("Closure(%s) = %v, want %v", n.Func.Name(), got, w)
+		}
+		if got && witness != "Sink" {
+			t.Errorf("Closure(%s) witness = %q, want the seed's %q", n.Func.Name(), witness, "Sink")
 		}
 	}
 }

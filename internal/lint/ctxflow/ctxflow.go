@@ -119,12 +119,11 @@ func New(cfg Config) *analysis.Analyzer {
 }
 
 // computeReach finds which declared functions reach a sink, with one
-// witness sink name each: a fixpoint over the package call graph seeded by
-// the sink list and by facts imported from dependency packages.
+// witness sink name each, seeded by the sink list and by facts imported
+// from dependency packages. Declared sinks seed themselves: their bodies
+// are the facade boundary's inside, and rule 1 still applies to them.
 func computeReach(pass *analysis.Pass, g *callgraph.Graph, sinks map[string]bool) map[*types.Func]string {
-	reach := make(map[*types.Func]string)
-	// external answers sink-ness for callees not declared in this package.
-	external := func(f *types.Func) (string, bool) {
+	return g.Closure(func(f *types.Func) (string, bool) {
 		if name := analysis.FullName(f); sinks[name] {
 			return name, true
 		}
@@ -133,36 +132,7 @@ func computeReach(pass *analysis.Pass, g *callgraph.Graph, sinks map[string]bool
 			return fact.Sink, true
 		}
 		return "", false
-	}
-	// Seed declared functions that are themselves sinks (their bodies are
-	// the facade boundary's inside; rule 1 still applies to them).
-	for _, n := range g.Nodes() {
-		if name := analysis.FullName(n.Func); sinks[name] {
-			reach[n.Func] = name
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes() {
-			if _, done := reach[n.Func]; done {
-				continue
-			}
-			for _, e := range n.Calls {
-				if callee, declared := e.Callee, g.Node(e.Callee); declared != nil {
-					if sink, ok := reach[callee]; ok {
-						reach[n.Func] = sink
-						changed = true
-						break
-					}
-				} else if sink, ok := external(e.Callee); ok {
-					reach[n.Func] = sink
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return reach
+	})
 }
 
 // checkFreshRoots reports context.Background/TODO calls anywhere in the

@@ -34,8 +34,8 @@ var wantRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // Run loads patterns (relative to the test's working directory, e.g.
 // "./testdata/src/det") and checks the analyzer's diagnostics against the
 // // want expectations in the loaded sources. Multiple patterns load in
-// one program, dependencies first, so cross-package analyzers (metricname)
-// see their registry package before its importers.
+// one program, dependencies first, so cross-package analyzers (lockorder,
+// spanmetric) see a dependency before its importers.
 func Run(t *testing.T, a *analysis.Analyzer, patterns ...string) {
 	t.Helper()
 	prog, err := load.Load(".", patterns...)

@@ -12,8 +12,7 @@
 // the classic ABBA shape — at the cost of flagging deliberate
 // instance-ordered hierarchies (annotate those //lint:allow lockorder).
 //
-// Per function, a statement walk (same discipline as lockhold: branches on
-// cloned state, literals skipped, deferred Unlock holds to function end)
+// Per function, package heldlock's statement walk (the one lockhold uses)
 // records every ordered pair (A held, B acquired). Acquisitions inside
 // callees count too: each function's transitively-acquired lock set is
 // computed to a fixpoint over the package call graph and exported as an
@@ -36,6 +35,7 @@ import (
 
 	"spectra/internal/lint/analysis"
 	"spectra/internal/lint/callgraph"
+	"spectra/internal/lint/heldlock"
 )
 
 // acquiresFact records the locks a function acquires, directly or through
@@ -43,16 +43,6 @@ import (
 type acquiresFact struct {
 	// Locks are lock identities, sorted.
 	Locks []string
-}
-
-// lock method full names; value is true for acquire, false for release.
-var lockMethods = map[string]bool{
-	"(*sync.Mutex).Lock":      true,
-	"(*sync.Mutex).Unlock":    false,
-	"(*sync.RWMutex).Lock":    true,
-	"(*sync.RWMutex).RLock":   true,
-	"(*sync.RWMutex).Unlock":  false,
-	"(*sync.RWMutex).RUnlock": false,
 }
 
 // New returns the analyzer. One instance accumulates the program-wide
@@ -89,9 +79,21 @@ func (g *global) run(pass *analysis.Pass) {
 			pass.ExportObjectFact(fn, &acquiresFact{Locks: sortedKeys(locks)})
 		}
 	}
+	w := &heldlock.Walker{
+		Pass:    pass,
+		Ident:   func(recv ast.Expr) string { return lockIdent(pass, recv) },
+		Acquire: func(id string, pos token.Pos, held heldlock.Held) { g.acquire(pass, id, pos, held) },
+		Call: func(call *ast.CallExpr, held heldlock.Held) {
+			// A callee's locks are all charged at the call site.
+			if callee := pass.FuncFor(call.Fun); callee != nil {
+				for _, id := range calleeLocks(pass, acquired, callee) {
+					g.acquire(pass, id, call.Pos(), held)
+				}
+			}
+		},
+	}
 	for _, n := range cg.Nodes() {
-		w := &walker{pass: pass, g: g, acquired: acquired}
-		w.stmts(n.Decl.Body.List, map[string]token.Pos{})
+		w.Walk(n.Decl.Body)
 	}
 }
 
@@ -110,8 +112,10 @@ func computeAcquired(pass *analysis.Pass, cg *callgraph.Graph) map[*types.Func]m
 			if !ok {
 				return true
 			}
-			if id, acq := lockOp(pass, call); acq && id != "" {
-				set[id] = true
+			if recv, acq, ok := heldlock.LockOp(pass, call); ok && acq {
+				if id := lockIdent(pass, recv); id != "" {
+					set[id] = true
+				}
 			}
 			return true
 		})
@@ -154,165 +158,21 @@ func calleeLocks(pass *analysis.Pass, acquired map[*types.Func]map[string]bool, 
 	return nil
 }
 
-// walker threads the held-lock set through a statement list, emitting an
-// ordering edge for every acquisition (direct or via callee) under a held
-// lock. The traversal discipline mirrors lockhold.
-type walker struct {
-	pass     *analysis.Pass
-	g        *global
-	acquired map[*types.Func]map[string]bool
-}
-
-func (w *walker) stmts(list []ast.Stmt, held map[string]token.Pos) {
-	for _, stmt := range list {
-		w.stmt(stmt, held)
-	}
-}
-
-func (w *walker) stmt(stmt ast.Stmt, held map[string]token.Pos) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		w.expr(s.X, held)
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, acq := lockOp(w.pass, call); id != "" {
-				if acq {
-					w.acquire(id, call.Pos(), held)
-					held[id] = call.Pos()
-				} else {
-					delete(held, id)
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// Deferred Unlock keeps the lock held to function end; deferred
-		// acquisitions run after the body, outside this walk's order.
-		return
-	case *ast.GoStmt:
-		// The goroutine does not hold this goroutine's locks.
-		return
-	case *ast.SendStmt:
-		w.expr(s.Chan, held)
-		w.expr(s.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.expr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.expr(e, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.expr(s.Cond, held)
-		w.stmts(s.Body.List, clone(held))
-		if s.Else != nil {
-			w.stmt(s.Else, clone(held))
-		}
-	case *ast.ForStmt:
-		inner := clone(held)
-		if s.Init != nil {
-			w.stmt(s.Init, inner)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, inner)
-		}
-		w.stmts(s.Body.List, inner)
-		if s.Post != nil {
-			w.stmt(s.Post, inner)
-		}
-	case *ast.RangeStmt:
-		w.expr(s.X, held)
-		w.stmts(s.Body.List, clone(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, clone(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, clone(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, clone(held))
-			}
-		}
-	case *ast.BlockStmt:
-		w.stmts(s.List, held)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, held)
-	}
-}
-
-// expr scans an expression for calls whose callees acquire locks,
-// charging the callee's full transitive lock set at the call site.
-// Literals are skipped; a statement-level lock call is handled by stmt.
-func (w *walker) expr(e ast.Expr, held map[string]token.Pos) {
-	if len(held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if id, _ := lockOp(w.pass, call); id != "" {
-			return true // direct lock op; stmt handles acquisition order
-		}
-		callee := w.pass.FuncFor(call.Fun)
-		if callee == nil {
-			return true
-		}
-		for _, id := range calleeLocks(w.pass, w.acquired, callee) {
-			w.acquire(id, call.Pos(), held)
-		}
-		return true
-	})
-}
-
 // acquire records edges held→id and reports if one closes a cycle.
-func (w *walker) acquire(id string, pos token.Pos, held map[string]token.Pos) {
+func (g *global) acquire(pass *analysis.Pass, id string, pos token.Pos, held heldlock.Held) {
 	for a := range held {
 		if a == id {
 			continue // re-entrant acquisition is lockhold's concern, not ordering
 		}
-		if _, seen := w.g.edges[a][id]; seen {
+		if _, seen := g.edges[a][id]; seen {
 			continue
 		}
-		if w.g.edges[a] == nil {
-			w.g.edges[a] = map[string]token.Pos{}
+		if g.edges[a] == nil {
+			g.edges[a] = map[string]token.Pos{}
 		}
-		w.g.edges[a][id] = pos
-		if path := w.g.findPath(id, a); path != nil {
-			w.pass.Reportf(pos,
+		g.edges[a][id] = pos
+		if path := g.findPath(id, a); path != nil {
+			pass.Reportf(pos,
 				"acquiring %s while holding %s creates a lock-order cycle (%s); "+
 					"acquire locks in one consistent order or annotate //lint:allow lockorder",
 				id, a, strings.Join(append([]string{a, id}, path[1:]...), " -> "))
@@ -340,21 +200,6 @@ func (g *global) findPath(src, dst string) []string {
 		return nil
 	}
 	return dfs(src, map[string]bool{})
-}
-
-// lockOp recognizes a mutex acquire/release call and returns the lock's
-// structural identity ("" when the lock is local and unidentifiable).
-func lockOp(pass *analysis.Pass, call *ast.CallExpr) (id string, acquire bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	f := pass.FuncFor(sel)
-	acq, isLock := lockMethods[analysis.FullName(f)]
-	if !isLock {
-		return "", false
-	}
-	return lockIdent(pass, sel.X), acq
 }
 
 // lockIdent names a lock structurally: "pkg.Type.field" for a mutex
@@ -429,13 +274,5 @@ func sortedEdgeKeys(m map[string]token.Pos) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-func clone(held map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
 	return out
 }

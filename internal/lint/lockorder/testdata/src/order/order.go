@@ -13,6 +13,8 @@ type S struct {
 	e   sync.Mutex
 	f   sync.Mutex
 	g   sync.Mutex
+	p   sync.Mutex
+	q   sync.Mutex
 }
 
 // TakeAB establishes mu1 -> mu2.
@@ -131,4 +133,29 @@ func GFAllowed(s *S) {
 	s.f.Lock()
 	s.f.Unlock()
 	s.g.Unlock()
+}
+
+// lockQ acquires q and yields a value a switch case can compare against.
+func (s *S) lockQ() int {
+	s.q.Lock()
+	defer s.q.Unlock()
+	return 1
+}
+
+// PThenQInCase establishes p -> q through a callee evaluated in a switch
+// case expression, which runs while p is held.
+func PThenQInCase(s *S, k int) {
+	s.p.Lock()
+	switch k {
+	case s.lockQ():
+	}
+	s.p.Unlock()
+}
+
+// QThenP inverts against the case-borne edge.
+func QThenP(s *S) {
+	s.q.Lock()
+	s.p.Lock() // want `acquiring .*S\.p while holding .*S\.q creates a lock-order cycle`
+	s.p.Unlock()
+	s.q.Unlock()
 }

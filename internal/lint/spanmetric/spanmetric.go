@@ -1,32 +1,36 @@
-// Package spanmetric pins every emitted metric name and span kind to a
-// constant declared in the observability registry package, program-wide —
-// the drift class where a dashboard queries spectra.rpc.retries.total
-// forever while the code quietly emits a renamed or misspelled string.
+// Package spanmetric keeps Spectra's metric namespace coherent and pins
+// every emitted metric name and span kind to a constant declared in the
+// observability registry package, program-wide — the drift class where a
+// dashboard queries spectra.rpc.retries.total forever while the code
+// quietly emits a renamed or misspelled string.
 //
-// Unlike metricname, which harvests the registry's constants from its
-// *syntax* and therefore only works when the registry package is among the
-// load roots, spanmetric reads the registry package's **types scope**,
-// located through the current package's transitive imports. Export data
-// carries constant values, so the declared-name set is available to every
-// importer no matter how the analysis was rooted — this is what makes the
-// check truly cross-package. Packages that do not (transitively) import
-// the registry are skipped: with no registry in sight there is nothing to
-// resolve against.
+// The format rule holds in every package, the registry included:
 //
-// Three rules, enforced outside the registry package itself:
+//  0. Any string literal shaped like a metric name ("spectra." + name
+//     characters) must match the dotted-lowercase convention
+//     spectra.<seg>.<seg>... (segments of [a-z0-9_]; a trailing dot marks
+//     a name prefix such as obs.RelErrPrefix). A malformed literal is
+//     reported once, by this rule, and not again as undeclared.
+//
+// The declaration rules resolve names against the registry package's
+// **types scope**, located through the current package's transitive
+// imports. Export data carries constant values, so the declared-name set
+// is available to every importer no matter how the analysis was rooted —
+// this is what makes the check truly cross-package. They apply outside
+// the registry package, wherever it is reachable:
 //
 //  1. The metric-name argument of Registry.Counter / Gauge / Histogram,
 //     when constant, must equal a declared registry constant or extend a
 //     declared prefix (a registry constant ending in ".").
 //  2. The kind argument of SpanRecorder.Start, when constant, must equal
 //     the value of a registry constant named Span*.
-//  3. Any other in-place string literal shaped like a metric name
-//     ("spectra." + name characters) must be declared, extend a declared
-//     prefix, or appear in the Exempt list (service names such as
-//     "spectra.work" share the prefix but are not metrics).
+//  3. Any other in-place string literal shaped like a metric name must be
+//     declared, extend a declared prefix, or appear in the Exempt list
+//     (service names such as "spectra.work" share the prefix but are not
+//     metrics).
 //
 // Non-constant arguments (prefix + variable) are unverifiable here and are
-// skipped; metricname's format rule still covers their constant parts.
+// skipped; the format rule still covers their constant parts.
 package spanmetric
 
 import (
@@ -54,6 +58,16 @@ type Config struct {
 // prose with spaces or punctuation is left alone.
 var nameShaped = regexp.MustCompile(`^spectra\.[A-Za-z0-9_.]+$`)
 
+// namePattern is the dotted-lowercase convention; an optional trailing
+// dot marks a prefix constant.
+var namePattern = regexp.MustCompile(`^spectra(\.[a-z0-9_]+)+\.?$`)
+
+// malformed reports whether name is metric-shaped but breaks the format
+// rule.
+func malformed(name string) bool {
+	return nameShaped.MatchString(name) && !namePattern.MatchString(name)
+}
+
 // registry is the harvested declaration set of the registry package.
 type registry struct {
 	// names are declared metric names (exact).
@@ -80,22 +94,23 @@ func New(cfg Config) *analysis.Analyzer {
 	cache := map[*types.Package]*registry{}
 	return &analysis.Analyzer{
 		Name: "spanmetric",
-		Doc: "emitted metric names and span kinds must resolve to constants " +
-			"declared in the observability registry package, so dashboards " +
-			"and trace tooling survive renames; declare the name there or " +
-			"annotate //lint:allow spanmetric",
+		Doc: "metric name literals must follow the spectra.-prefixed " +
+			"dotted-lowercase convention, and emitted metric names and span " +
+			"kinds must resolve to constants declared in the observability " +
+			"registry package, so dashboards and trace tooling survive " +
+			"renames; declare the name there or annotate //lint:allow spanmetric",
 		Run: func(pass *analysis.Pass) error {
-			if pass.Pkg.Path() == cfg.RegistryPkg {
-				return nil
-			}
-			regPkg := findImport(pass.Pkg, cfg.RegistryPkg)
-			if regPkg == nil {
-				return nil
-			}
-			reg := cache[regPkg]
-			if reg == nil {
-				reg = harvest(regPkg)
-				cache[regPkg] = reg
+			// reg stays nil where the declaration rules do not apply: in
+			// the registry itself and where it is not reachable.
+			var reg *registry
+			if pass.Pkg.Path() != cfg.RegistryPkg {
+				if regPkg := findImport(pass.Pkg, cfg.RegistryPkg); regPkg != nil {
+					reg = cache[regPkg]
+					if reg == nil {
+						reg = harvest(regPkg)
+						cache[regPkg] = reg
+					}
+				}
 			}
 			for _, file := range pass.Files {
 				checkFile(pass, file, reg, registerFuncs, startFunc, exempt)
@@ -153,45 +168,55 @@ func harvest(pkg *types.Package) *registry {
 	return reg
 }
 
-// checkFile applies the three rules to one file.
+// checkFile applies the rules to one file; reg is nil when only the
+// format rule applies.
 func checkFile(pass *analysis.Pass, file *ast.File, reg *registry, registerFuncs map[string]bool, startFunc string, exempt map[string]bool) {
-	// Arguments checked at call sites are excluded from the literal walk
-	// so one bad name reports once.
+	// Arguments checked at call sites are excluded from rule 3 so one bad
+	// name reports once.
 	checkedArgs := map[token.Pos]bool{}
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		full := analysis.FullName(pass.FuncFor(call.Fun))
-		switch {
-		case registerFuncs[full]:
-			checkedArgs[call.Args[0].Pos()] = true
-			if name, ok := constString(pass, call.Args[0]); ok && !declared(reg, name) && !exempt[name] {
-				pass.Reportf(call.Args[0].Pos(),
-					"metric name %q is not declared in the registry package; register it as a named constant there so dashboards track renames", name)
+	if reg != nil {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
 			}
-		case full == startFunc:
-			checkedArgs[call.Args[0].Pos()] = true
-			if kind, ok := constString(pass, call.Args[0]); ok {
-				if _, known := reg.spanKinds[kind]; !known {
-					pass.Reportf(call.Args[0].Pos(),
-						"span kind %q does not match any Span* constant in the registry package; use a declared kind so trace tooling recognizes the span", kind)
+			full := analysis.FullName(pass.FuncFor(call.Fun))
+			switch {
+			case registerFuncs[full]:
+				arg := call.Args[0]
+				checkedArgs[arg.Pos()] = true
+				// A malformed literal argument is the format rule's finding.
+				_, isLit := arg.(*ast.BasicLit)
+				if name, ok := constString(pass, arg); ok && !(isLit && malformed(name)) && !declared(reg, name) && !exempt[name] {
+					pass.Reportf(arg.Pos(),
+						"metric name %q is not declared in the registry package; register it as a named constant there so dashboards track renames", name)
+				}
+			case full == startFunc:
+				checkedArgs[call.Args[0].Pos()] = true
+				if kind, ok := constString(pass, call.Args[0]); ok {
+					if _, known := reg.spanKinds[kind]; !known {
+						pass.Reportf(call.Args[0].Pos(),
+							"span kind %q does not match any Span* constant in the registry package; use a declared kind so trace tooling recognizes the span", kind)
+					}
 				}
 			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 	ast.Inspect(file, func(n ast.Node) bool {
 		lit, ok := n.(*ast.BasicLit)
-		if !ok || lit.Kind != token.STRING || checkedArgs[lit.Pos()] {
+		if !ok || lit.Kind != token.STRING {
 			return true
 		}
 		name, ok := constString(pass, lit)
 		if !ok || !nameShaped.MatchString(name) {
 			return true
 		}
-		if !declared(reg, name) && !exempt[name] {
+		switch {
+		case !namePattern.MatchString(name):
+			pass.Reportf(lit.Pos(),
+				"metric name %q violates the spectra.-prefixed dotted-lowercase convention (segments of [a-z0-9_])", name)
+		case reg != nil && !checkedArgs[lit.Pos()] && !declared(reg, name) && !exempt[name]:
 			pass.Reportf(lit.Pos(),
 				"string %q looks like a metric name but is not declared in the registry package; use the declared constant, declare it, or exempt it as a service name", name)
 		}

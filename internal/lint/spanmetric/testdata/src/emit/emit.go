@@ -1,5 +1,6 @@
-// Package emit exercises spanmetric's three rules against the reg
-// package's declarations, resolved through the types scope.
+// Package emit exercises spanmetric's format rule and its three
+// declaration rules against the reg package's declarations, resolved
+// through the types scope.
 package emit
 
 import "spectra/internal/lint/spanmetric/testdata/src/reg"
@@ -36,3 +37,31 @@ func Allowed(r *reg.Registry) {
 	//lint:allow spanmetric scratch metric for a one-off experiment
 	r.Counter("spectra.scratch.total")
 }
+
+// registry is a package-level handle, so registrations can also sit in
+// variable declarations.
+var registry = &reg.Registry{}
+
+// localName is well-formed but declared here, not in the registry
+// package — exactly how a renamed metric drifts off the dashboards. Rule 3
+// flags the declaration and rule 1 the registration below.
+const localName = "spectra.golden.local.total" // want `string "spectra\.golden\.local\.total" looks like a metric name but is not declared`
+
+var (
+	e = registry.Counter("spectra.golden.unknown.total") // want `metric name "spectra\.golden\.unknown\.total" is not declared`
+	f = registry.Counter(localName)                      // want `metric name "spectra\.golden\.local\.total" is not declared`
+
+	// A malformed literal reports once, by the format rule.
+	h = registry.Counter("spectra.golden.Bad_Arg") // want `metric name "spectra\.golden\.Bad_Arg" violates the spectra\.-prefixed dotted-lowercase convention`
+
+	//lint:allow spanmetric golden test of the suppression path
+	g = registry.Counter("spectra.golden.adhoc.total")
+)
+
+// malformed violates the format rule regardless of registration, and is
+// not also reported as undeclared.
+const malformed = "spectra.golden.Mixed_Case" // want `violates the spectra\.-prefixed dotted-lowercase convention`
+
+// prose is spectra.-prefixed but not name-shaped: error strings and log
+// messages are none of the analyzer's business.
+const prose = "spectra.golden: something went wrong"

@@ -1,12 +1,16 @@
 // Package reg is the golden registry: declared metric names, a prefix,
-// and span kinds, read by spanmetric through the types scope.
+// and span kinds, read by spanmetric through the types scope. Only the
+// format rule applies here.
 package reg
 
-// Declared metric names and one prefix.
+// Declared metric names and one prefix. The format rule holds in the
+// registry too: a declared name must still follow the convention.
 const (
 	MGood   = "spectra.good.total"
 	MOther  = "spectra.other.seconds"
 	MPrefix = "spectra.dyn."
+
+	MBadCase = "spectra.golden.BadSegment" // want `violates the spectra\.-prefixed dotted-lowercase convention`
 )
 
 // Declared span kinds (recognized by the Span name prefix, not value).

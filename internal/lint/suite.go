@@ -15,7 +15,6 @@ import (
 	"spectra/internal/lint/goroleak"
 	"spectra/internal/lint/lockhold"
 	"spectra/internal/lint/lockorder"
-	"spectra/internal/lint/metricname"
 	"spectra/internal/lint/nilsafe"
 	"spectra/internal/lint/spanmetric"
 	"spectra/internal/lint/virtualclock"
@@ -102,7 +101,6 @@ func Suite() []*analysis.Analyzer {
 		virtualclock.New(virtualclock.Config{DeterministicPkgs: DeterministicPkgs}),
 		nilsafe.New(),
 		lockhold.New(lockhold.Config{Blocking: BlockingCalls}),
-		metricname.New(metricname.Config{RegistryPkg: RegistryPkg}),
 		errclass.New(errclass.Config{Packages: ClassifiedPkgs}),
 		ctxflow.New(ctxflow.Config{
 			RequestPkgs: RequestPkgs,

@@ -3,8 +3,6 @@ package monitor
 import (
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -12,14 +10,16 @@ import (
 // continuous availability values map to level = round(log2(v) * 2), so one
 // level step is a factor of √2 (~41%). Placement decisions are insensitive
 // to smaller fluctuations — the demand models themselves carry more noise —
-// which is what makes a coarse fingerprint a usable cache key.
+// which is what lets a cached decision outlive them.
 const coarseLevelsPerOctave = 2
 
 // CoarseSnapshot is a quantized fingerprint of a Snapshot: per-resource
 // availability reduced to logarithmic levels plus the health-verdict vector
 // (per-server reachability). Two snapshots with the same fingerprint
-// describe, for placement purposes, the same resource picture; the decision
-// cache keys on it and invalidates on drift between fingerprints.
+// describe, for placement purposes, the same resource picture. The
+// decision cache stores one with each entry and compares it against the
+// live fingerprint with Drift, invalidating the entry on too large a drift
+// or any health change.
 type CoarseSnapshot struct {
 	LocalCPULevel   int
 	BatteryLevel    int
@@ -73,31 +73,6 @@ func Coarsen(s *Snapshot, servers []string) CoarseSnapshot {
 		sort.Slice(c.Servers, func(i, j int) bool { return c.Servers[i].Name < c.Servers[j].Name })
 	}
 	return c
-}
-
-// Key renders the fingerprint as a stable string.
-func (c CoarseSnapshot) Key() string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(c.LocalCPULevel))
-	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(c.BatteryLevel))
-	b.WriteByte('/')
-	b.WriteString(strconv.Itoa(c.ImportanceLevel))
-	b.WriteByte('/')
-	b.WriteString(strconv.FormatBool(c.OnWallPower))
-	for _, s := range c.Servers {
-		b.WriteByte('|')
-		b.WriteString(s.Name)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatBool(s.Reachable))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(s.CPULevel))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(s.BandwidthLevel))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(s.LatencyLevel))
-	}
-	return b.String()
 }
 
 // Drift compares a cached fingerprint against a live one. maxLevels is the
